@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "engine/histogram_scan.h"
+
 namespace ideval {
 
 const char* EngineProfileToString(EngineProfile profile) {
@@ -88,6 +90,43 @@ void Engine::FinalizeTimes(QueryResponse* response) const {
       cost_model_.PostAggregationTime(response->stats);
 }
 
+template <typename ScanFn>
+void Engine::WalkBlocks(const Table& table, const CompiledPredicates& preds,
+                        const TableZoneMaps* prune_maps, int64_t begin,
+                        int64_t end, QueryWorkStats* stats,
+                        ScanFn&& scan) const {
+  // Zone maps skip whole blocks whose min/max range is disjoint from a
+  // range conjunct — those rows cannot match, so results are bitwise
+  // identical to the full walk; only the work (and modelled time) drops.
+  const int64_t block_rows =
+      prune_maps != nullptr ? prune_maps->block_rows : end - begin;
+  int64_t run_begin = -1;
+  auto flush_run = [&](int64_t run_end) {
+    if (run_begin >= 0) {
+      ChargePages(table, run_begin, run_end - run_begin, stats);
+    }
+    run_begin = -1;
+  };
+  for (int64_t b = begin; b < end; b += block_rows) {
+    if (prune_maps != nullptr) {
+      if (!preds.MayMatchBlock(*prune_maps,
+                               static_cast<size_t>(b / block_rows))) {
+        ++stats->blocks_pruned;
+        flush_run(b);
+        continue;
+      }
+      ++stats->blocks_scanned;
+    }
+    if (run_begin < 0) run_begin = b;
+    if (const std::optional<int64_t> stop =
+            scan(b, std::min(end, b + block_rows))) {
+      flush_run(*stop);
+      return;
+    }
+  }
+  flush_run(end);
+}
+
 Result<QueryResponse> Engine::Execute(const Query& query) const {
   Result<QueryResponse> r = [&] {
     if (const auto* s = std::get_if<SelectQuery>(&query)) {
@@ -151,45 +190,20 @@ Result<QueryResponse> Engine::ExecuteSelect(const SelectQuery& query) const {
   int64_t matched = 0;
   const double out_bytes_per_row =
       static_cast<double>(proj.size()) * 24.0;  // Rough wire width.
-  const TableZoneMaps* zm = ZoneMapsFor(query.table);
-  const bool prune =
-      zm != nullptr && preds.has_range_predicates() && zm->num_blocks > 0;
-  const int64_t block_rows = prune ? zm->block_rows : n;
-  // Pages are charged per contiguous run of visited blocks, so a scan
-  // that prunes nothing charges exactly the pages of the unpruned loop.
-  int64_t run_begin = -1;
-  auto flush_run = [&](int64_t run_end) {
-    if (run_begin >= 0) {
-      ChargePages(*table, run_begin, run_end - run_begin, &stats);
-    }
-    run_begin = -1;
-  };
-  // LIMIT 0 is a shape probe: no rows, no scan.
-  bool done = limit <= 0;
-  for (int64_t begin = 0; begin < n && !done; begin += block_rows) {
-    const int64_t end = std::min(n, begin + block_rows);
-    if (prune &&
-        !preds.MayMatchBlock(*zm, static_cast<size_t>(begin / block_rows))) {
-      ++stats.blocks_pruned;
-      flush_run(begin);
-      continue;
-    }
-    if (prune) ++stats.blocks_scanned;
-    if (run_begin < 0) run_begin = begin;
-    // Kernel path: the predicate mask is materialized one chunk at a
-    // time; the consume loop below walks it for offset/limit and
-    // materialization. Work counters only cover rows actually consumed —
-    // when the limit lands mid-chunk the kernels evaluated the rest of
-    // the chunk too (wasted compute, but identical accounting to the old
-    // early-exit row loop, which the modelled time is calibrated on).
+  // Kernel path: the predicate mask is materialized one chunk at a time;
+  // the consume loop below walks it for offset/limit and
+  // materialization. Work counters only cover rows actually consumed —
+  // when the limit lands mid-chunk the kernels evaluated the rest of the
+  // chunk too (wasted compute, but identical accounting to the old
+  // early-exit row loop, which the modelled time is calibrated on).
+  auto scan_block = [&](int64_t begin,
+                        int64_t end) -> std::optional<int64_t> {
     alignas(64) uint8_t mask[kKernelScanChunk];
-    int64_t row = begin;
-    for (int64_t chunk = begin; chunk < end && !done;
-         chunk += kKernelScanChunk) {
+    for (int64_t chunk = begin; chunk < end; chunk += kKernelScanChunk) {
       const int64_t len = std::min<int64_t>(kKernelScanChunk, end - chunk);
       preds.EvalMask(*kops_, static_cast<size_t>(chunk), len, mask);
       for (int64_t i = 0; i < len; ++i) {
-        row = chunk + i;
+        const int64_t row = chunk + i;
         ++stats.tuples_scanned;
         stats.predicates_evaluated +=
             static_cast<int64_t>(preds.num_predicates());
@@ -202,16 +216,16 @@ Result<QueryResponse> Engine::ExecuteSelect(const SelectQuery& query) const {
           out.push_back(table->At(static_cast<size_t>(row), c));
         }
         rows.rows.push_back(std::move(out));
-        if (static_cast<int64_t>(rows.rows.size()) >= limit) {
-          ++row;
-          done = true;
-          break;
-        }
+        if (static_cast<int64_t>(rows.rows.size()) >= limit) return row + 1;
       }
     }
-    if (done) flush_run(row);
+    return std::nullopt;
+  };
+  // LIMIT 0 is a shape probe: no rows, no scan.
+  if (limit > 0) {
+    WalkBlocks(*table, preds, preds.PruneMaps(ZoneMapsFor(query.table)), 0,
+               n, &stats, scan_block);
   }
-  if (!done) flush_run(n);
   stats.tuples_matched = matched;
   stats.rows_output = static_cast<int64_t>(rows.rows.size());
   stats.bytes_output = out_bytes_per_row * static_cast<double>(
@@ -221,85 +235,45 @@ Result<QueryResponse> Engine::ExecuteSelect(const SelectQuery& query) const {
   return response;
 }
 
-Result<QueryResponse> Engine::ExecuteHistogram(
-    const HistogramQuery& query) const {
+Result<QueryResponse> Engine::ExecuteHistogram(const HistogramQuery& query,
+                                               MorselQueue* queue) const {
   IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
   IDEVAL_ASSIGN_OR_RETURN(
-      CompiledPredicates preds,
-      CompiledPredicates::Compile(*table, query.predicates));
-  IDEVAL_ASSIGN_OR_RETURN(const Column* bin_col,
-                          table->ColumnByName(query.bin_column));
-  if (bin_col->type() == DataType::kString) {
-    return Status::InvalidArgument("histogram over string column '" +
-                                   query.bin_column + "'");
-  }
-  if (query.bins <= 0) {
-    return Status::InvalidArgument("histogram bins must be > 0");
-  }
-  // Validate the bin range up front (lo < hi etc.) so bad queries fail
-  // before any scan; the real histogram is built from the kernel counts
-  // at the end via FromCounts, which is bitwise-equal to per-row Add.
-  {
-    Result<FixedHistogram> probe = FixedHistogram::Make(
-        query.bin_lo, query.bin_hi, static_cast<size_t>(query.bins));
-    if (!probe.ok()) return probe.status();
-  }
-
+      HistogramScan scan,
+      HistogramScan::Prepare(*table, ZoneMapsFor(query.table), query,
+                             *kops_));
   QueryResponse response;
   QueryWorkStats& stats = response.stats;
   const int64_t n = static_cast<int64_t>(table->num_rows());
-  const bool is_int = bin_col->type() == DataType::kInt64;
-  // Hot loop: borrow raw column storage once (immutable table), then run
-  // the SIMD scan kernels block by block — predicate masks and masked
-  // binning via `HistScanRange` into exact int64 counts. Zone maps skip
-  // whole blocks whose min/max range is disjoint from a range conjunct —
-  // those rows cannot match, so the histogram is bitwise identical to
-  // the full scan; only the work (and modelled time) drops.
-  const int64_t* int_vals = is_int ? bin_col->int64_data().data() : nullptr;
-  const double* dbl_vals = is_int ? nullptr : bin_col->double_data().data();
-  const TableZoneMaps* zm = ZoneMapsFor(query.table);
-  const bool prune =
-      zm != nullptr && preds.has_range_predicates() && zm->num_blocks > 0;
-  const int64_t block_rows = prune ? zm->block_rows : n;
   std::vector<int64_t> counts(static_cast<size_t>(query.bins), 0);
-  int64_t matched = 0;
-  int64_t scanned = 0;
-  int64_t run_begin = -1;
-  auto flush_run = [&](int64_t run_end) {
-    if (run_begin >= 0) {
-      ChargePages(*table, run_begin, run_end - run_begin, &stats);
-    }
-    run_begin = -1;
+  auto scan_block = [&](int64_t begin, int64_t end) {
+    scan.ScanBlock(begin, end, counts.data(), &stats);
+    return std::optional<int64_t>();
   };
-  for (int64_t begin = 0; begin < n; begin += block_rows) {
-    const int64_t end = std::min(n, begin + block_rows);
-    if (prune &&
-        !preds.MayMatchBlock(*zm, static_cast<size_t>(begin / block_rows))) {
-      ++stats.blocks_pruned;
-      flush_run(begin);
-      continue;
+  if (queue == nullptr) {
+    WalkBlocks(*table, scan.preds, scan.prune_maps, 0, n, &stats,
+               scan_block);
+  } else {
+    // Steal loop: one atomic increment claims the next unscanned morsel;
+    // the loop exits when the shared queue drains. Morsel boundaries land
+    // on block boundaries (see the header contract), so every block is
+    // counted by exactly one participant. Page charges are per morsel,
+    // not per cross-morsel run: a disk-profile scan may charge a page
+    // shared by two morsels twice (morsel mode targets the in-memory
+    // profile, where ChargePages is a no-op).
+    for (;;) {
+      const int64_t m = queue->next.fetch_add(1, std::memory_order_relaxed);
+      if (m >= queue->num_morsels) break;
+      ++stats.morsels_executed;
+      const int64_t begin = m * queue->morsel_rows;
+      WalkBlocks(*table, scan.preds, scan.prune_maps, begin,
+                 std::min(n, begin + queue->morsel_rows), &stats,
+                 scan_block);
     }
-    if (prune) ++stats.blocks_scanned;
-    if (run_begin < 0) run_begin = begin;
-    matched += HistScanRange(*kops_, preds, int_vals, dbl_vals,
-                             query.bin_lo, query.bin_hi, query.bins, begin,
-                             end, counts.data());
-    scanned += end - begin;
   }
-  flush_run(n);
-  std::vector<double> dcounts(counts.begin(), counts.end());
   IDEVAL_ASSIGN_OR_RETURN(
-      FixedHistogram hist,
-      FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
-                                 std::move(dcounts)));
-  stats.tuples_matched = matched;
-  stats.tuples_scanned = scanned;
-  stats.predicates_evaluated =
-      scanned * static_cast<int64_t>(preds.num_predicates());
-  stats.groups_built = static_cast<int64_t>(hist.num_bins());
-  stats.rows_output = static_cast<int64_t>(hist.num_bins());
-  stats.bytes_output = static_cast<double>(hist.num_bins()) * 16.0;
-  response.data = std::move(hist);
+      response.data,
+      scan.Finish(std::vector<double>(counts.begin(), counts.end()), &stats));
   FinalizeTimes(&response);
   return response;
 }
@@ -309,95 +283,9 @@ Result<QueryResponse> Engine::ExecuteHistogramMorsels(
   if (queue == nullptr || queue->morsel_rows < 1) {
     return Status::InvalidArgument("morsel queue must have morsel_rows >= 1");
   }
-  IDEVAL_ASSIGN_OR_RETURN(TablePtr table, GetTable(query.table));
-  IDEVAL_ASSIGN_OR_RETURN(
-      CompiledPredicates preds,
-      CompiledPredicates::Compile(*table, query.predicates));
-  IDEVAL_ASSIGN_OR_RETURN(const Column* bin_col,
-                          table->ColumnByName(query.bin_column));
-  if (bin_col->type() == DataType::kString) {
-    return Status::InvalidArgument("histogram over string column '" +
-                                   query.bin_column + "'");
-  }
-  if (query.bins <= 0) {
-    return Status::InvalidArgument("histogram bins must be > 0");
-  }
-  {
-    Result<FixedHistogram> probe = FixedHistogram::Make(
-        query.bin_lo, query.bin_hi, static_cast<size_t>(query.bins));
-    if (!probe.ok()) return probe.status();
-  }
-
-  QueryResponse response;
-  QueryWorkStats& stats = response.stats;
-  const int64_t n = static_cast<int64_t>(table->num_rows());
-  const bool is_int = bin_col->type() == DataType::kInt64;
-  const int64_t* int_vals = is_int ? bin_col->int64_data().data() : nullptr;
-  const double* dbl_vals = is_int ? nullptr : bin_col->double_data().data();
-  const TableZoneMaps* zm = ZoneMapsFor(query.table);
-  const bool prune =
-      zm != nullptr && preds.has_range_predicates() && zm->num_blocks > 0;
-  std::vector<int64_t> counts(static_cast<size_t>(query.bins), 0);
-  int64_t matched = 0;
-  int64_t scanned = 0;
-
-  // Steal loop: one atomic increment claims the next unscanned morsel;
-  // the loop exits when the shared queue drains. Inside a claimed morsel
-  // the scan is the same pruned block walk as `ExecuteHistogram` —
-  // morsel boundaries land on block boundaries (see the header contract)
-  // so every block is counted by exactly one participant. Page charges
-  // are per morsel, not per cross-morsel run: a disk-profile scan may
-  // charge a page shared by two morsels twice (morsel mode targets the
-  // in-memory profile, where ChargePages is a no-op).
-  for (;;) {
-    const int64_t m = queue->next.fetch_add(1, std::memory_order_relaxed);
-    if (m >= queue->num_morsels) break;
-    ++stats.morsels_executed;
-    const int64_t mbegin = m * queue->morsel_rows;
-    const int64_t mend = std::min(n, mbegin + queue->morsel_rows);
-    if (mbegin >= mend) continue;
-    const int64_t block_rows = prune ? zm->block_rows : mend - mbegin;
-    int64_t run_begin = -1;
-    auto flush_run = [&](int64_t run_end) {
-      if (run_begin >= 0) {
-        ChargePages(*table, run_begin, run_end - run_begin, &stats);
-      }
-      run_begin = -1;
-    };
-    for (int64_t begin = mbegin; begin < mend; begin += block_rows) {
-      const int64_t end = std::min(mend, begin + block_rows);
-      if (prune && !preds.MayMatchBlock(
-                       *zm, static_cast<size_t>(begin / block_rows))) {
-        ++stats.blocks_pruned;
-        flush_run(begin);
-        continue;
-      }
-      if (prune) ++stats.blocks_scanned;
-      if (run_begin < 0) run_begin = begin;
-      matched += HistScanRange(*kops_, preds, int_vals, dbl_vals,
-                               query.bin_lo, query.bin_hi, query.bins,
-                               begin, end, counts.data());
-      scanned += end - begin;
-    }
-    flush_run(mend);
-  }
-
-  std::vector<double> dcounts(counts.begin(), counts.end());
-  IDEVAL_ASSIGN_OR_RETURN(
-      FixedHistogram hist,
-      FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
-                                 std::move(dcounts)));
-  stats.tuples_matched = matched;
-  stats.tuples_scanned = scanned;
-  stats.predicates_evaluated =
-      scanned * static_cast<int64_t>(preds.num_predicates());
-  stats.groups_built = static_cast<int64_t>(hist.num_bins());
-  stats.rows_output = static_cast<int64_t>(hist.num_bins());
-  stats.bytes_output = static_cast<double>(hist.num_bins()) * 16.0;
-  response.data = std::move(hist);
-  FinalizeTimes(&response);
-  RecordPruning(stats);
-  return response;
+  Result<QueryResponse> r = ExecuteHistogram(query, queue);
+  if (r.ok()) RecordPruning(r->stats);
+  return r;
 }
 
 Result<QueryResponse> Engine::ExecuteJoinPage(

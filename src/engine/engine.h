@@ -189,7 +189,10 @@ class Engine {
 
  private:
   Result<QueryResponse> ExecuteSelect(const SelectQuery& query) const;
-  Result<QueryResponse> ExecuteHistogram(const HistogramQuery& query) const;
+  /// Histogram over every row (`queue` null) or over the morsels claimed
+  /// from `queue` until it drains.
+  Result<QueryResponse> ExecuteHistogram(const HistogramQuery& query,
+                                         MorselQueue* queue = nullptr) const;
   Result<QueryResponse> ExecuteJoinPage(const JoinPageQuery& query) const;
 
   /// Charges buffer-pool page accesses for visiting `tuples` consecutive
@@ -199,6 +202,18 @@ class Engine {
                    QueryWorkStats* stats) const;
 
   void FinalizeTimes(QueryResponse* response) const;
+
+  /// The one contiguous block walk under every scan (select, full
+  /// histogram, each claimed morsel): visits rows [begin, end) of `table`
+  /// in `prune_maps` blocks (the whole range as one block when null),
+  /// skipping blocks `preds` rules out and charging pages per contiguous
+  /// run of visited blocks, so a walk that prunes nothing charges exactly
+  /// the pages of an unpruned scan. `scan(b, e)` scans one block and
+  /// returns nullopt to go on, or the row it stopped at to end the walk.
+  template <typename ScanFn>
+  void WalkBlocks(const Table& table, const CompiledPredicates& preds,
+                  const TableZoneMaps* prune_maps, int64_t begin,
+                  int64_t end, QueryWorkStats* stats, ScanFn&& scan) const;
 
   /// Folds a finished scan's block counters into the engine totals.
   void RecordPruning(const QueryWorkStats& stats) const {

@@ -379,7 +379,7 @@ int64_t HistRangesF64(const double* v, int64_t n, double lo, double hi,
     default:
       break;
   }
-  constexpr int kMaxClauses = 8;  // HistScanRange caps the fused shape.
+  constexpr int kMaxClauses = 8;  // HistogramScan caps the fused shape.
   __m256d clo[kMaxClauses], chi[kMaxClauses];
   const int nc = num_clauses < kMaxClauses ? num_clauses : kMaxClauses;
   for (int c = 0; c < nc; ++c) {

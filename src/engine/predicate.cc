@@ -136,45 +136,4 @@ void CompiledPredicates::EvalMask(const KernelOps& ops, size_t row_begin,
   }
 }
 
-int64_t HistScanRange(const KernelOps& ops, const CompiledPredicates& preds,
-                      const int64_t* int_vals, const double* dbl_vals,
-                      double lo, double hi, int64_t bins, int64_t begin,
-                      int64_t end, int64_t* counts) {
-  alignas(64) uint8_t mask[kKernelScanChunk];
-  const bool no_preds = preds.num_predicates() == 0;
-  // Fused fast path (the crossfilter shape): every conjunct an f64
-  // range and an f64 bin column. One unchunked pass — the fused kernel
-  // keeps pass bits in registers, so there is no mask buffer whose
-  // footprint would force chunking. Clause count is capped only by the
-  // stack array below; conjunctions past it take the generic mask path.
-  constexpr size_t kMaxFusedClauses = 8;
-  if (!no_preds && dbl_vals != nullptr && preds.AllF64Ranges() &&
-      preds.num_ranges() <= kMaxFusedClauses) {
-    F64RangeClause clauses[kMaxFusedClauses];
-    preds.FillF64Clauses(static_cast<size_t>(begin), clauses);
-    return ops.hist_ranges_f64(dbl_vals + begin, end - begin, lo, hi, bins,
-                               clauses,
-                               static_cast<int>(preds.num_ranges()),
-                               counts);
-  }
-  int64_t matched = 0;
-  for (int64_t c = begin; c < end; c += kKernelScanChunk) {
-    const int64_t len = std::min<int64_t>(kKernelScanChunk, end - c);
-    if (no_preds) {
-      matched += int_vals != nullptr
-                     ? ops.hist_i64(int_vals + c, len, lo, hi, bins, counts)
-                     : ops.hist_f64(dbl_vals + c, len, lo, hi, bins,
-                                    counts);
-      continue;
-    }
-    preds.EvalMask(ops, static_cast<size_t>(c), len, mask);
-    matched += int_vals != nullptr
-                   ? ops.hist_masked_i64(int_vals + c, mask, len, lo, hi,
-                                         bins, counts)
-                   : ops.hist_masked_f64(dbl_vals + c, mask, len, lo, hi,
-                                         bins, counts);
-  }
-  return matched;
-}
-
 }  // namespace ideval

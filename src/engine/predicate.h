@@ -1,6 +1,7 @@
 #ifndef IDEVAL_ENGINE_PREDICATE_H_
 #define IDEVAL_ENGINE_PREDICATE_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -21,6 +22,7 @@ struct RangePredicate {
   double hi = 0.0;
 
   bool operator==(const RangePredicate&) const = default;
+  auto operator<=>(const RangePredicate&) const = default;
 };
 
 /// Equality filter on a string column (check boxes, room-type facets).
@@ -29,6 +31,7 @@ struct StringEqPredicate {
   std::string value;
 
   bool operator==(const StringEqPredicate&) const = default;
+  auto operator<=>(const StringEqPredicate&) const = default;
 };
 
 /// Set-membership filter on a string column (`column IN (v1, v2, ...)`):
@@ -38,6 +41,7 @@ struct StringInPredicate {
   std::vector<std::string> values;
 
   bool operator==(const StringInPredicate&) const = default;
+  auto operator<=>(const StringInPredicate&) const = default;
 };
 
 /// One WHERE-clause conjunct.
@@ -137,6 +141,16 @@ class CompiledPredicates {
   /// zone maps can prune on.
   bool has_range_predicates() const { return !ranges_.empty(); }
 
+  /// `zone_maps` when a scan of this conjunction can prune with them
+  /// (they summarize at least one block and a range conjunct exists to
+  /// test), else null.
+  const TableZoneMaps* PruneMaps(const TableZoneMaps* zone_maps) const {
+    return zone_maps != nullptr && zone_maps->num_blocks > 0 &&
+                   has_range_predicates()
+               ? zone_maps
+               : nullptr;
+  }
+
   /// Zone-map block test: false iff some range conjunct's [lo, hi] is
   /// disjoint from block `block`'s min/max summary in `zone_maps`, i.e.
   /// no row of the block can match and the scan may skip it outright.
@@ -174,20 +188,6 @@ class CompiledPredicates {
   std::vector<CompiledStringEq> string_eqs_;
   std::vector<CompiledStringIn> string_ins_;
 };
-
-/// Kernel-driven filtered histogram scan over rows [begin, end) — the
-/// shared inner loop of `Engine::ExecuteHistogram` and the progressive
-/// pass loop. Chunks the range into `kKernelScanChunk`-row stretches,
-/// materializes the predicate mask per chunk via `preds.EvalMask`, and
-/// bins matching rows of the bin column (exactly one of `int_vals` /
-/// `dbl_vals` non-null, pointing at row 0) into `counts` (caller-zeroed
-/// or accumulating, `FixedHistogram::Add` bin semantics over [lo, hi) ×
-/// `bins`). Returns the number of rows binned. Counts are exact int64,
-/// so any split of a row range across calls sums to the same counts.
-int64_t HistScanRange(const KernelOps& ops, const CompiledPredicates& preds,
-                      const int64_t* int_vals, const double* dbl_vals,
-                      double lo, double hi, int64_t bins, int64_t begin,
-                      int64_t end, int64_t* counts);
 
 }  // namespace ideval
 

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <numeric>
 
-#include "engine/predicate.h"
+#include "engine/histogram_scan.h"
 
 namespace ideval {
 
@@ -84,38 +84,18 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
   if (table == nullptr) {
     return Status::InvalidArgument("RunDeadlineHistogram: null table");
   }
-  if (query.bins <= 0) {
-    return Status::InvalidArgument("histogram bins must be > 0");
-  }
   if (!(options.confidence > 0.0 && options.confidence < 1.0)) {
     return Status::InvalidArgument("confidence must lie in (0, 1)");
   }
   IDEVAL_ASSIGN_OR_RETURN(
-      CompiledPredicates preds,
-      CompiledPredicates::Compile(*table, query.predicates));
-  IDEVAL_ASSIGN_OR_RETURN(const Column* bin_col,
-                          table->ColumnByName(query.bin_column));
-  if (bin_col->type() == DataType::kString) {
-    return Status::InvalidArgument("histogram over string column '" +
-                                   query.bin_column + "'");
-  }
-  // Validate the bin range up front; the result histogram is built from
-  // the kernel's exact int64 counts at the end (FromCounts is
-  // bitwise-equal to per-row Add for integer counts).
-  {
-    Result<FixedHistogram> probe = FixedHistogram::Make(
-        query.bin_lo, query.bin_hi, static_cast<size_t>(query.bins));
-    if (!probe.ok()) return probe.status();
-  }
-  const KernelOps& ops =
-      kernels != nullptr ? *kernels : GetKernelOps(KernelIsa::kAuto);
+      HistogramScan scan,
+      HistogramScan::Prepare(
+          *table, zone_maps, query,
+          kernels != nullptr ? *kernels : GetKernelOps(KernelIsa::kAuto)));
 
   const auto t0 = std::chrono::steady_clock::now();
   const size_t bins = static_cast<size_t>(query.bins);
   const int64_t n = static_cast<int64_t>(table->num_rows());
-  const bool is_int = bin_col->type() == DataType::kInt64;
-  const int64_t* int_vals = is_int ? bin_col->int64_data().data() : nullptr;
-  const double* dbl_vals = is_int ? nullptr : bin_col->double_data().data();
 
   ProgressiveHistogramResult out;
   out.confidence = options.confidence;
@@ -124,8 +104,6 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
   // Classify blocks up front: a block a range conjunct rules out via its
   // zone map contributes exactly zero matches, so it is fully resolved
   // without being scanned. The sampling universe is the candidates.
-  const bool prune = zone_maps != nullptr && preds.has_range_predicates() &&
-                     zone_maps->num_blocks > 0;
   const int64_t block_rows =
       zone_maps != nullptr && zone_maps->num_blocks > 0
           ? zone_maps->block_rows
@@ -136,7 +114,8 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
   candidates.reserve(static_cast<size_t>(num_blocks));
   int64_t pruned_rows = 0;
   for (int64_t b = 0; b < num_blocks; ++b) {
-    if (prune && !preds.MayMatchBlock(*zone_maps, static_cast<size_t>(b))) {
+    if (scan.prune_maps != nullptr &&
+        !scan.preds.MayMatchBlock(*scan.prune_maps, static_cast<size_t>(b))) {
       ++out.stats.blocks_pruned;
       pruned_rows += std::min(n, (b + 1) * block_rows) - b * block_rows;
       continue;
@@ -162,15 +141,13 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
   // variance (docs/progressive.md walks through the estimator).
   std::vector<double> bin_sum(bins, 0.0);
   std::vector<double> bin_sumsq(bins, 0.0);
-  // Exact running counts plus a per-block scratch: the kernel scan bins
+  // Exact running counts plus a per-block scratch: the scan step bins
   // each block into `block_counts`, which is both the variance delta and
   // the increment folded into `counts_total`.
   std::vector<int64_t> counts_total(bins, 0);
   std::vector<int64_t> block_counts(bins, 0);
 
-  size_t m = 0;           // Candidate blocks visited.
-  int64_t rows_visited = 0;
-  int64_t matched = 0;
+  size_t m = 0;  // Candidate blocks visited.
   size_t pass_target = std::max<size_t>(1, B / 64);
   while (m < B) {
     size_t take = std::min(pass_target, B - m);
@@ -187,16 +164,13 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
       const int64_t begin = b * block_rows;
       const int64_t end = std::min(n, begin + block_rows);
       std::fill(block_counts.begin(), block_counts.end(), int64_t{0});
-      matched += HistScanRange(ops, preds, int_vals, dbl_vals, query.bin_lo,
-                               query.bin_hi, query.bins, begin, end,
-                               block_counts.data());
+      scan.ScanBlock(begin, end, block_counts.data(), &out.stats);
       for (size_t i = 0; i < bins; ++i) {
         const double delta = static_cast<double>(block_counts[i]);
         bin_sum[i] += delta;
         bin_sumsq[i] += delta * delta;
         counts_total[i] += block_counts[i];
       }
-      rows_visited += end - begin;
       pass.blocks += 1;
       pass.rows += end - begin;
     }
@@ -229,6 +203,7 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
     }
   }
 
+  const int64_t rows_visited = out.stats.tuples_scanned;
   out.blocks_visited = static_cast<int64_t>(m);
   out.approximate = m < B;
   out.fraction_rows =
@@ -237,15 +212,12 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
                   static_cast<double>(n)
             : 1.0;
 
+  std::vector<double> est;
   if (!out.approximate) {
     // Complete run: the summed kernel counts *are* the exact answer.
     // Integer counts as doubles are exact and order-independent below
     // 2^53, so this is bitwise-identical to Engine::ExecuteHistogram.
-    std::vector<double> dcounts(counts_total.begin(), counts_total.end());
-    IDEVAL_ASSIGN_OR_RETURN(
-        out.histogram,
-        FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
-                                   std::move(dcounts)));
+    est.assign(counts_total.begin(), counts_total.end());
   } else {
     // Scale the cluster sample up to the candidate universe and attach
     // per-bin CIs from the SRSWOR cluster-sample variance. Pruned blocks
@@ -254,7 +226,7 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
     const double dB = static_cast<double>(B);
     const double scale = dB / dm;
     const double z = NormalQuantile(0.5 * (1.0 + options.confidence));
-    std::vector<double> est(bins, 0.0);
+    est.assign(bins, 0.0);
     for (size_t i = 0; i < bins; ++i) {
       est[i] = bin_sum[i] * scale;
       if (m < 2) {
@@ -281,20 +253,10 @@ Result<ProgressiveHistogramResult> RunDeadlineHistogram(
       const double var = dB * dB * (1.0 - dm / dB) * s2 / dm;
       out.ci_half_width[i] = z * std::sqrt(var);
     }
-    IDEVAL_ASSIGN_OR_RETURN(
-        out.histogram,
-        FixedHistogram::FromCounts(query.bin_lo, query.bin_hi,
-                                   std::move(est)));
   }
-
   out.stats.blocks_scanned = static_cast<int64_t>(m);
-  out.stats.tuples_scanned = rows_visited;
-  out.stats.tuples_matched = matched;
-  out.stats.predicates_evaluated =
-      rows_visited * static_cast<int64_t>(preds.num_predicates());
-  out.stats.groups_built = static_cast<int64_t>(bins);
-  out.stats.rows_output = static_cast<int64_t>(bins);
-  out.stats.bytes_output = static_cast<double>(bins) * 16.0;
+  IDEVAL_ASSIGN_OR_RETURN(out.histogram,
+                          scan.Finish(std::move(est), &out.stats));
   out.execution_time = cost_model.ExecutionTime(out.stats);
   out.post_aggregation_time = cost_model.PostAggregationTime(out.stats);
   return out;

@@ -15,7 +15,58 @@ std::string PredicatesToString(const std::vector<Predicate>& predicates) {
   return out;
 }
 
+// Builds a `QueryKey`: strings carry their length and every field ends
+// in ';', so a key decodes back to exactly one field sequence.
+struct KeyWriter {
+  std::string out;
+
+  KeyWriter& operator<<(const std::string& s) {
+    out += std::to_string(s.size()) + ':' + s + ';';
+    return *this;
+  }
+  KeyWriter& operator<<(int64_t v) {
+    out += std::to_string(v) + ';';
+    return *this;
+  }
+  KeyWriter& operator<<(double v) {
+    out += StrFormat("%a;", v);  // Bit-exact.
+    return *this;
+  }
+  KeyWriter& operator<<(const Predicate& p) {
+    if (const auto* r = std::get_if<RangePredicate>(&p)) {
+      return *this << "range" << r->column << r->lo << r->hi;
+    }
+    if (const auto* eq = std::get_if<StringEqPredicate>(&p)) {
+      return *this << "eq" << eq->column << eq->value;
+    }
+    const auto& in = std::get<StringInPredicate>(p);
+    return *this << "in" << in.column << in.values;
+  }
+  template <typename T>
+  KeyWriter& operator<<(const std::vector<T>& items) {
+    *this << static_cast<int64_t>(items.size());
+    for (const T& item : items) *this << item;
+    return *this;
+  }
+};
+
 }  // namespace
+
+std::string QueryKey(const Query& query) {
+  KeyWriter key;
+  if (const auto* s = std::get_if<SelectQuery>(&query)) {
+    key << "select" << s->table << s->columns << s->predicates << s->limit
+        << s->offset;
+  } else if (const auto* h = std::get_if<HistogramQuery>(&query)) {
+    key << "histogram" << h->table << h->bin_column << h->bin_lo
+        << h->bin_hi << h->bins << h->predicates;
+  } else {
+    const auto& j = std::get<JoinPageQuery>(query);
+    key << "join" << j.left_table << j.right_table << j.join_column
+        << j.limit << j.offset;
+  }
+  return std::move(key.out);
+}
 
 std::string QueryToString(const Query& query) {
   if (const auto* s = std::get_if<SelectQuery>(&query)) {

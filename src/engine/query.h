@@ -62,8 +62,17 @@ struct JoinPageQuery {
 /// Any query the engines accept.
 using Query = std::variant<SelectQuery, HistogramQuery, JoinPageQuery>;
 
-/// Renders a query as SQL-ish text for logs and traces.
+/// Renders a query as SQL-ish text for logs and traces. Numbers print
+/// to six significant digits, so distinct queries may render alike: key
+/// caches with `QueryKey`, never with this.
 std::string QueryToString(const Query& query);
+
+/// Exact lookup key for result caches: two queries get the same key iff
+/// they are field-for-field equal. Doubles render bit-exactly (`%a`) and
+/// strings carry their length, so no two distinct queries share a key.
+/// Callers that want equivalent queries to collide normalize first
+/// (`CanonicalQueryKey`).
+std::string QueryKey(const Query& query);
 
 /// Materialized rows (row-major) for select/join queries.
 struct RowSet {

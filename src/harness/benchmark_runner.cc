@@ -199,8 +199,6 @@ Result<WorkloadSpec> ParseWorkloadSpec(const std::string& text) {
     } else if (key == "adaptive_admission") {
       IDEVAL_ASSIGN_OR_RETURN(spec.adaptive_admission,
                               ParseBool(key, value));
-    } else if (key == "serve_cache") {
-      IDEVAL_ASSIGN_OR_RETURN(spec.serve_cache, ParseBool(key, value));
     } else if (key == "serve_shared_cache") {
       IDEVAL_ASSIGN_OR_RETURN(spec.serve_shared_cache,
                               ParseBool(key, value));
@@ -334,7 +332,6 @@ std::string WorkloadSpecToText(const WorkloadSpec& spec) {
                    AdmissionPolicyToString(spec.admission));
   out += StrFormat("adaptive_admission = %s\n",
                    spec.adaptive_admission ? "true" : "false");
-  out += StrFormat("serve_cache = %s\n", spec.serve_cache ? "true" : "false");
   out += StrFormat("serve_shared_cache = %s\n",
                    spec.serve_shared_cache ? "true" : "false");
   out += StrFormat("serve_shards = %d\n", spec.serve_shards);
@@ -691,7 +688,6 @@ Result<WorkloadReport> RunServeWorkload(const WorkloadSpec& spec,
   sopts.max_queue_per_session = spec.serve_queue_cap;
   sopts.policy = spec.admission;
   sopts.adaptive_admission = spec.adaptive_admission;
-  sopts.enable_session_cache = spec.serve_cache;
   sopts.enable_shared_cache = spec.serve_shared_cache;
   sopts.enable_tracing = spec.serve_trace;
   sopts.trace_buffer_spans = spec.serve_trace_buffer_spans;

@@ -11,7 +11,7 @@ Result<SessionCache::Execution> SessionCache::Execute(const Query& query) {
   if (engine_ == nullptr) {
     return Status::FailedPrecondition("SessionCache has no engine");
   }
-  const std::string key = QueryToString(query);
+  const std::string key = QueryKey(query);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;

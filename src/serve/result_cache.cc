@@ -32,23 +32,15 @@ std::vector<Predicate> NormalizePredicates(
       rest.push_back(p);
     }
   }
-  // Canonical conjunct order: ranges by column, then the rest sorted (and
-  // deduplicated) by rendered text — predicate order is irrelevant under
-  // AND, so equivalent reorderings collide.
+  // Canonical conjunct order: ranges by column, then the rest sorted and
+  // deduplicated by value — predicate order is irrelevant under AND, so
+  // equivalent reorderings collide.
+  std::sort(rest.begin(), rest.end());
+  rest.erase(std::unique(rest.begin(), rest.end()), rest.end());
   std::vector<Predicate> out;
   out.reserve(ranges.size() + rest.size());
   for (auto& [column, range] : ranges) out.push_back(range);
-  std::sort(rest.begin(), rest.end(),
-            [](const Predicate& a, const Predicate& b) {
-              return PredicateToString(a) < PredicateToString(b);
-            });
-  std::string prev;
-  for (Predicate& p : rest) {
-    std::string text = PredicateToString(p);
-    if (text == prev) continue;
-    prev = std::move(text);
-    out.push_back(std::move(p));
-  }
+  for (Predicate& p : rest) out.push_back(std::move(p));
   return out;
 }
 
@@ -60,19 +52,15 @@ int64_t ValueBytes(const Value& v) {
 }  // namespace
 
 std::string CanonicalQueryKey(const Query& query) {
-  if (const auto* s = std::get_if<SelectQuery>(&query)) {
-    SelectQuery norm = *s;
-    norm.predicates = NormalizePredicates(s->predicates);
-    if (norm.offset < 0) norm.offset = 0;
-    if (norm.limit < 0) norm.limit = -1;
-    return QueryToString(Query(std::move(norm)));
+  Query norm = query;
+  if (auto* s = std::get_if<SelectQuery>(&norm)) {
+    s->predicates = NormalizePredicates(s->predicates);
+    s->offset = std::max<int64_t>(0, s->offset);
+    s->limit = std::max<int64_t>(-1, s->limit);
+  } else if (auto* h = std::get_if<HistogramQuery>(&norm)) {
+    h->predicates = NormalizePredicates(h->predicates);
   }
-  if (const auto* h = std::get_if<HistogramQuery>(&query)) {
-    HistogramQuery norm = *h;
-    norm.predicates = NormalizePredicates(h->predicates);
-    return QueryToString(Query(std::move(norm)));
-  }
-  return QueryToString(query);
+  return QueryKey(norm);
 }
 
 int64_t ApproxResponseBytes(const QueryResponse& response) {

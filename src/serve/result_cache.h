@@ -30,6 +30,8 @@ namespace ideval {
 ///    order (predicate order is irrelevant under AND);
 ///  - a negative select offset keys as 0 and any negative limit as -1,
 ///    matching how the engine executes them.
+/// The normalized query renders through the exact `QueryKey`, so queries
+/// whose bounds differ in any bit never share a key.
 std::string CanonicalQueryKey(const Query& query);
 
 /// Approximate in-memory footprint of a cached response, for the cache's

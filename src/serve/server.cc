@@ -42,25 +42,11 @@ Status QueryServer::ValidateOptions(const ServerOptions& options) {
   if (options.admission.window <= Duration::Zero()) {
     return Status::InvalidArgument("admission window must be > 0");
   }
-  if (options.enable_session_cache && options.session_cache_capacity < 1) {
-    return Status::InvalidArgument("session_cache_capacity must be >= 1");
-  }
-  if (options.enable_shared_cache && options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "enable_shared_cache and enable_session_cache are mutually "
-        "exclusive; the shared cache supersedes the per-session one");
-  }
   if (options.enable_shared_cache && options.shared_cache_bytes < 1) {
     return Status::InvalidArgument("shared_cache_bytes must be >= 1");
   }
   if (options.enable_shared_cache && options.shared_cache_shards < 1) {
     return Status::InvalidArgument("shared_cache_shards must be >= 1");
-  }
-  if (options.enable_progressive && options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "enable_progressive is incompatible with enable_session_cache; "
-        "use enable_shared_cache for result reuse under progressive "
-        "serving");
   }
   if (options.enable_progressive && options.progressive_deadline_ms < 0.0) {
     return Status::InvalidArgument(
@@ -124,23 +110,7 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
   if (engine == nullptr) {
     return Status::InvalidArgument("QueryServer needs an engine");
   }
-  IDEVAL_RETURN_NOT_OK(ValidateOptions(options));
-  auto server = std::unique_ptr<QueryServer>(
-      new QueryServer(engine, /*sharded=*/nullptr, std::move(options)));
-  server->workers_.reserve(
-      static_cast<size_t>(server->options_.num_workers));
-  for (int i = 0; i < server->options_.num_workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
-  if (server->options_.enable_progressive &&
-      server->options_.progressive_refine &&
-      server->result_cache_ != nullptr) {
-    server->refine_thread_ =
-        std::thread([s = server.get()] { s->RefineLoop(); });
-  }
-  // The poller starts last, once the server is fully serveable.
-  if (server->poller_ != nullptr) server->poller_->Start();
-  return server;
+  return Start(engine, /*sharded=*/nullptr, std::move(options));
 }
 
 Result<std::unique_ptr<QueryServer>> QueryServer::Create(
@@ -148,34 +118,33 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Create(
   if (sharded == nullptr) {
     return Status::InvalidArgument("QueryServer needs a sharded engine");
   }
+  return Start(/*engine=*/nullptr, sharded, std::move(options));
+}
+
+Result<std::unique_ptr<QueryServer>> QueryServer::Start(
+    const Engine* engine, const ShardedEngine* sharded,
+    ServerOptions options) {
   IDEVAL_RETURN_NOT_OK(ValidateOptions(options));
-  if (options.enable_session_cache) {
-    return Status::InvalidArgument(
-        "session cache is incompatible with a sharded backend; use "
-        "enable_shared_cache, which layers above the scatter/merge");
-  }
   auto server = std::unique_ptr<QueryServer>(
-      new QueryServer(/*engine=*/nullptr, sharded, std::move(options)));
-  const int shard_pool = server->options_.shard_workers > 0
-                             ? server->options_.shard_workers
-                             : sharded->num_shards();
-  server->shard_threads_.reserve(static_cast<size_t>(shard_pool));
-  for (int i = 0; i < shard_pool; ++i) {
-    server->shard_threads_.emplace_back(
-        [s = server.get()] { s->ShardWorkerLoop(); });
+      new QueryServer(engine, sharded, std::move(options)));
+  QueryServer* s = server.get();
+  if (sharded != nullptr) {
+    const int shard_pool = s->options_.shard_workers > 0
+                               ? s->options_.shard_workers
+                               : sharded->num_shards();
+    for (int i = 0; i < shard_pool; ++i) {
+      s->shard_threads_.emplace_back([s] { s->ShardWorkerLoop(); });
+    }
   }
-  server->workers_.reserve(
-      static_cast<size_t>(server->options_.num_workers));
-  for (int i = 0; i < server->options_.num_workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
+  for (int i = 0; i < s->options_.num_workers; ++i) {
+    s->workers_.emplace_back([s] { s->WorkerLoop(); });
   }
-  if (server->options_.enable_progressive &&
-      server->options_.progressive_refine &&
-      server->result_cache_ != nullptr) {
-    server->refine_thread_ =
-        std::thread([s = server.get()] { s->RefineLoop(); });
+  if (s->options_.enable_progressive && s->options_.progressive_refine &&
+      s->result_cache_ != nullptr) {
+    s->refine_thread_ = std::thread([s] { s->RefineLoop(); });
   }
-  if (server->poller_ != nullptr) server->poller_->Start();
+  // The poller starts last, once the server is fully serveable.
+  if (s->poller_ != nullptr) s->poller_->Start();
   return server;
 }
 
@@ -196,22 +165,16 @@ QueryServer::QueryServer(const Engine* engine, const ShardedEngine* sharded,
                             options_.admission)),
       effective_policy_(options_.policy),
       metrics_(options_.admission.window) {
+  cache_backend_ = [this](const Query& q, const TraceContext& trace,
+                          uint64_t parent) {
+    return sharded_ != nullptr ? ExecuteOneSharded(q, trace, parent)
+                               : engine_->Execute(q);
+  };
   if (options_.enable_shared_cache) {
     ResultCacheOptions copts;
     copts.byte_budget = options_.shared_cache_bytes;
     copts.num_shards = options_.shared_cache_shards;
     result_cache_ = std::make_unique<ResultCache>(copts);
-    cache_backend_ =
-        sharded_ != nullptr
-            ? ResultCache::TracedBackend(
-                  [this](const Query& q, const TraceContext& trace,
-                         uint64_t parent) {
-                    return ExecuteOneSharded(q, trace, parent);
-                  })
-            : ResultCache::TracedBackend(
-                  [this](const Query& q, const TraceContext&, uint64_t) {
-                    return engine_->Execute(q);
-                  });
   }
   if (options_.enable_tracing) {
     TraceOptions topts;
@@ -314,7 +277,7 @@ void QueryServer::RegisterMetrics() {
       "Failed queries inside executed groups");
   hot_.cache_hits = mreg_->RegisterCounter(
       "ideval_serve_cache_hits_total",
-      "Queries answered by the session or shared result cache");
+      "Queries answered by the shared result cache");
   hot_.lcv_violations = mreg_->RegisterCounter(
       "ideval_serve_lcv_violations_total",
       "Executed groups that finished after a newer submission (LCV)");
@@ -409,16 +372,7 @@ std::chrono::steady_clock::time_point QueryServer::ToSteady(SimTime t) const {
 
 uint64_t QueryServer::OpenSession() {
   std::lock_guard<std::mutex> lock(mu_);
-  ServeSession* s = sessions_.Open(options_.admission.window);
-  if (options_.enable_session_cache) {
-    SessionCache::Options copts;
-    copts.capacity = options_.session_cache_capacity;
-    // The cache borrows the engine for misses; it never mutates tables,
-    // so the const_cast only widens access back to the read-only Execute.
-    s->set_cache(std::make_unique<SessionCache>(
-        const_cast<Engine*>(engine_), copts));
-  }
-  return s->id();
+  return sessions_.Open(options_.admission.window)->id();
 }
 
 Status QueryServer::CloseSession(uint64_t session_id) {
@@ -527,7 +481,6 @@ Result<SubmitOutcome> QueryServer::Submit(uint64_t session_id,
             : s->InterArrival(now).value_or(Duration::Millis(100));
     if (budget < Duration::Zero()) budget = Duration::Zero();
     deadline = now + budget;
-
   }
 
   SubmitOutcome out;
@@ -729,7 +682,7 @@ void QueryServer::ShardWorkerLoop() {
       RecordSpan(task.trace, SpanKind::kShardExec,
                  task.trace.buffer->NewSpanId(), task.parent_span,
                  t0.micros(), (t0 + wall).micros(),
-                 static_cast<uint32_t>(task.lane), task.shard,
+                 static_cast<uint32_t>(task.lane), task.subtask->shard,
                  r.ok() ? r->stats.blocks_scanned : 0,
                  r.ok() ? r->stats.blocks_pruned : 0);
     }
@@ -738,12 +691,53 @@ void QueryServer::ShardWorkerLoop() {
       // dispatching worker may wake and destroy the group state, so no
       // touch of task.* may happen after the decrement outside done_mu.
       std::lock_guard<std::mutex> done(*task.done_mu);
-      task.result->emplace(std::move(r));
-      *task.wall = wall;
+      task.slot->result.emplace(std::move(r));
+      task.slot->wall = wall;
       if (--*task.remaining == 0) task.done_cv->notify_one();
     }
     lock.lock();
   }
+}
+
+std::vector<QueryServer::ShardSlot> QueryServer::ScatterAndWait(
+    const std::vector<const ShardedEngine::ShardPlan*>& plans,
+    const TraceContext& trace, uint64_t parent_span,
+    const std::function<void()>& on_queued) {
+  std::vector<const ShardedEngine::Subtask*> subtasks;
+  for (const ShardedEngine::ShardPlan* plan : plans) {
+    if (!plan->subtasks.empty() && plan->subtasks[0].morsels != nullptr) {
+      morsel_queries_.fetch_add(1, std::memory_order_relaxed);
+      if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
+    }
+    for (const auto& sub : plan->subtasks) subtasks.push_back(&sub);
+  }
+  std::vector<ShardSlot> slots(subtasks.size());
+  // Completion state, on this worker's stack. Shard workers hold
+  // pointers into it until the last decrement under done_mu, after which
+  // the wait below returns and the state may be destroyed.
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  int remaining = static_cast<int>(subtasks.size());
+  {
+    std::lock_guard<std::mutex> lock(shard_mu_);
+    for (size_t i = 0; i < subtasks.size(); ++i) {
+      ShardTask task;
+      task.subtask = subtasks[i];
+      task.slot = &slots[i];
+      task.done_mu = &done_mu;
+      task.done_cv = &done_cv;
+      task.remaining = &remaining;
+      task.trace = trace;
+      task.parent_span = parent_span;
+      task.lane = static_cast<int32_t>(i);
+      shard_queue_.push_back(task);
+    }
+  }
+  shard_cv_.notify_all();
+  on_queued();
+  std::unique_lock<std::mutex> done(done_mu);
+  done_cv.wait(done, [&remaining] { return remaining == 0; });
+  return slots;
 }
 
 QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
@@ -760,7 +754,6 @@ QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
   // Plan every query into per-shard subtasks. Plan failures fail the
   // query immediately; its partials never reach the shard pool.
   struct PlannedQuery {
-    const Query* query = nullptr;
     size_t query_index = 0;  ///< Submission-order slot in `capture`.
     ShardedEngine::ShardPlan plan;
     size_t first_slot = 0;  ///< Index of its first partial in the slots.
@@ -769,77 +762,37 @@ QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
   planned.reserve(queries.size());
   size_t total_subtasks = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const Query& query = queries[qi];
-    auto plan = sharded_->Plan(query);
+    auto plan = sharded_->Plan(queries[qi]);
     if (!plan.ok()) {
       ++out.failed;
       continue;
     }
-    PlannedQuery pq;
-    pq.query = &query;
-    pq.query_index = qi;
-    pq.plan = std::move(*plan);
-    pq.first_slot = total_subtasks;
-    total_subtasks += pq.plan.subtasks.size();
-    if (!pq.plan.subtasks.empty() &&
-        pq.plan.subtasks[0].morsels != nullptr) {
-      morsel_queries_.fetch_add(1, std::memory_order_relaxed);
-      if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
-    }
-    planned.push_back(std::move(pq));
+    planned.push_back({qi, std::move(*plan), total_subtasks});
+    total_subtasks += planned.back().plan.subtasks.size();
   }
 
-  // Group completion state, on this worker's stack. Shard workers hold
-  // pointers into it until the last decrement under done_mu, after which
-  // the wait below returns and the state may be destroyed.
-  std::vector<std::optional<Result<QueryResponse>>> slots(total_subtasks);
-  std::vector<Duration> walls(total_subtasks);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int remaining = static_cast<int>(total_subtasks);
-
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    for (const PlannedQuery& pq : planned) {
-      for (size_t i = 0; i < pq.plan.subtasks.size(); ++i) {
-        const auto& sub = pq.plan.subtasks[i];
-        ShardTask task;
-        task.subtask = &sub;
-        task.result = &slots[pq.first_slot + i];
-        task.wall = &walls[pq.first_slot + i];
-        task.done_mu = &done_mu;
-        task.done_cv = &done_cv;
-        task.remaining = &remaining;
-        task.trace = trace;
-        task.parent_span = execute_span_id;
-        task.shard = static_cast<int32_t>(sub.shard);
-        task.lane = static_cast<int32_t>(pq.first_slot + i);
-        shard_queue_.push_back(task);
-      }
-    }
-  }
-  shard_cv_.notify_all();
-  const SimTime t1 = Now();  // Scatter done: all partials queued.
-  RecordSpan(trace, SpanKind::kScatter,
-             trace.enabled() ? trace.buffer->NewSpanId() : 0,
-             trace.root_span_id, t0.micros(), t1.micros(), /*detail=*/0,
-             static_cast<int64_t>(total_subtasks),
-             static_cast<int64_t>(planned.size()), out.failed);
-
-  {
-    std::unique_lock<std::mutex> done(done_mu);
-    done_cv.wait(done, [&remaining] { return remaining == 0; });
-  }
+  std::vector<const ShardedEngine::ShardPlan*> plans;
+  for (const PlannedQuery& pq : planned) plans.push_back(&pq.plan);
+  SimTime t1;
+  std::vector<ShardSlot> slots =
+      ScatterAndWait(plans, trace, execute_span_id, [&] {
+        t1 = Now();  // Scatter done: all partials queued.
+        RecordSpan(trace, SpanKind::kScatter,
+                   trace.enabled() ? trace.buffer->NewSpanId() : 0,
+                   trace.root_span_id, t0.micros(), t1.micros(),
+                   /*detail=*/0, static_cast<int64_t>(total_subtasks),
+                   static_cast<int64_t>(planned.size()), out.failed);
+      });
   const SimTime t2 = Now();  // Execute done: last partial finished.
   if (trace.enabled()) {
     // The execute window's attrs aggregate the partials' work stats
     // (slots are still intact here; the merge below consumes them).
     int64_t tuples = 0, scanned = 0, pruned = 0;
-    for (const auto& slot : slots) {
-      if (!slot->ok()) continue;
-      tuples += (*slot)->stats.tuples_scanned;
-      scanned += (*slot)->stats.blocks_scanned;
-      pruned += (*slot)->stats.blocks_pruned;
+    for (const ShardSlot& slot : slots) {
+      if (!slot.result->ok()) continue;
+      tuples += (*slot.result)->stats.tuples_scanned;
+      scanned += (*slot.result)->stats.blocks_scanned;
+      pruned += (*slot.result)->stats.blocks_pruned;
     }
     RecordSpan(trace, SpanKind::kExecute, execute_span_id,
                trace.root_span_id, t1.micros(), t2.micros(), /*detail=*/0,
@@ -853,18 +806,19 @@ QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
     partials.reserve(pq.plan.subtasks.size());
     bool partial_failed = false;
     for (size_t i = 0; i < pq.plan.subtasks.size(); ++i) {
-      auto& slot = slots[pq.first_slot + i];
-      if (!slot->ok()) {
+      auto& result = slots[pq.first_slot + i].result;
+      if (!result->ok()) {
         partial_failed = true;
         break;
       }
-      partials.push_back(std::move(**slot));
+      partials.push_back(std::move(**result));
     }
     if (partial_failed) {
       ++out.failed;
       continue;
     }
-    auto merged = sharded_->Merge(*pq.query, pq.plan, std::move(partials));
+    auto merged = sharded_->Merge(queries[pq.query_index], pq.plan,
+                                  std::move(partials));
     if (merged.ok()) {
       ++out.executed;
       if (capture != nullptr) {
@@ -885,7 +839,7 @@ QueryServer::GroupOutcome QueryServer::ExecuteGroupSharded(
   out.merge = t3 - t2;
   if (total_subtasks > 0) {
     Duration sum;
-    for (const Duration& w : walls) sum = sum + w;
+    for (const ShardSlot& slot : slots) sum = sum + slot.wall;
     out.shard_exec_mean =
         Duration::Micros(sum.micros() / static_cast<int64_t>(total_subtasks));
   }
@@ -898,48 +852,17 @@ Result<QueryResponse> QueryServer::ExecuteOneSharded(
   Span scatter(trace, SpanKind::kScatter, parent_span_id);
   IDEVAL_ASSIGN_OR_RETURN(ShardedEngine::ShardPlan plan,
                           sharded_->Plan(query));
-  if (!plan.subtasks.empty() && plan.subtasks[0].morsels != nullptr) {
-    morsel_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (hot_.morsel_queries != nullptr) hot_.morsel_queries->Increment();
-  }
-  const size_t n = plan.subtasks.size();
-  std::vector<std::optional<Result<QueryResponse>>> slots(n);
-  std::vector<Duration> walls(n);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int remaining = static_cast<int>(n);
-
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      const auto& sub = plan.subtasks[i];
-      ShardTask task;
-      task.subtask = &sub;
-      task.result = &slots[i];
-      task.wall = &walls[i];
-      task.done_mu = &done_mu;
-      task.done_cv = &done_cv;
-      task.remaining = &remaining;
-      task.trace = trace;
-      task.parent_span = parent_span_id;
-      task.shard = static_cast<int32_t>(sub.shard);
-      task.lane = static_cast<int32_t>(i);
-      shard_queue_.push_back(task);
-    }
-  }
-  shard_cv_.notify_all();
-  scatter.SetAttrs(static_cast<int64_t>(n), 1, 0);
-  scatter.End();
-  {
-    std::unique_lock<std::mutex> done(done_mu);
-    done_cv.wait(done, [&remaining] { return remaining == 0; });
-  }
+  std::vector<ShardSlot> slots =
+      ScatterAndWait({&plan}, trace, parent_span_id, [&] {
+        scatter.SetAttrs(static_cast<int64_t>(plan.subtasks.size()), 1, 0);
+        scatter.End();
+      });
 
   std::vector<QueryResponse> partials;
-  partials.reserve(n);
-  for (auto& slot : slots) {
-    IDEVAL_RETURN_NOT_OK(slot->status());
-    partials.push_back(std::move(**slot));
+  partials.reserve(slots.size());
+  for (ShardSlot& slot : slots) {
+    IDEVAL_RETURN_NOT_OK(slot.result->status());
+    partials.push_back(std::move(**slot.result));
   }
   Span merge(trace, SpanKind::kMerge, parent_span_id);
   auto merged = sharded_->Merge(query, plan, std::move(partials));
@@ -985,10 +908,7 @@ QueryServer::ProgressiveGroupOutcome QueryServer::ExecuteGroupProgressive(
       // Non-histogram shapes pass through exactly — progressive
       // refinement applies to the aggregate views (docs/progressive.md).
       Span exec(group.trace, SpanKind::kExecute, group.trace.root_span_id);
-      auto r = sharded_ != nullptr
-                   ? ExecuteOneSharded(query, group.trace,
-                                       group.trace.root_span_id)
-                   : engine_->Execute(query);
+      auto r = cache_backend_(query, group.trace, group.trace.root_span_id);
       if (r.ok()) {
         ++out.executed;
         exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
@@ -1023,118 +943,98 @@ QueryServer::ProgressiveGroupOutcome QueryServer::ExecuteGroupProgressive(
       }
     };
 
-    ApproxResultInfo info;
+    // Progressive partials: the engine itself, or one per shard of the
+    // plan, run sequentially on this worker with every shard seeing the
+    // same *absolute* deadline — shard K never gets budget shard 1
+    // already spent. Partial estimates are independent cluster samples,
+    // so counts add and variances (half-width squares) add.
+    std::vector<std::pair<const Engine*, const HistogramQuery*>> parts;
+    ShardedEngine::ShardPlan plan;  // Owns the shard queries in `parts`.
     bool ok = true;
-    FixedHistogram merged{*FixedHistogram::Make(0.0, 1.0, 1)};
-    QueryWorkStats stats;
-    if (sharded_ != nullptr) {
-      // Sequential per-shard progressive partials on this worker, every
-      // shard seeing the same *absolute* deadline — shard K never gets
-      // budget shard 1 already spent. Partial estimates are independent
-      // cluster samples, so counts add and variances (half-width
-      // squares) add.
-      auto plan = sharded_->Plan(query);
-      if (!plan.ok()) {
+    if (sharded_ == nullptr) {
+      parts.emplace_back(engine_, hq);
+    } else {
+      auto planned = sharded_->Plan(query);
+      if (!planned.ok()) {
         ++out.failed;
         continue;
       }
-      std::vector<double> counts;
-      std::vector<double> hw2;
-      double fraction_sum = 0.0;
-      int64_t partials = 0;
-      int64_t pass_base = 0;
-      bool any_approx = false;
+      plan = std::move(*planned);
       // A morsel plan partitions *work*, not data: every subtask sees
       // the full table, so one progressive partial already covers
       // everything — running all K would count each row K times.
       const size_t n_parts =
-          !plan->subtasks.empty() && plan->subtasks[0].morsels != nullptr
+          !plan.subtasks.empty() && plan.subtasks[0].morsels != nullptr
               ? 1
-              : plan->subtasks.size();
-      for (size_t si = 0; si < n_parts; ++si) {
-        const auto& sub = plan->subtasks[si];
+              : plan.subtasks.size();
+      for (size_t si = 0; si < n_parts && ok; ++si) {
+        const auto& sub = plan.subtasks[si];
         const auto* shard_hq = std::get_if<HistogramQuery>(&sub.query);
-        if (shard_hq == nullptr) {
-          ok = false;
-          break;
-        }
-        const SimTime call_start = Now();
-        auto r = sharded_->shard(sub.shard)->ExecuteHistogramProgressive(
-            *shard_hq, popts);
-        if (!r.ok()) {
-          ok = false;
-          break;
-        }
-        record_passes(*r, call_start, pass_base);
-        pass_base += r->passes;
-        if (counts.empty()) {
-          counts.assign(r->histogram.num_bins(), 0.0);
-          hw2.assign(r->histogram.num_bins(), 0.0);
-        }
-        for (size_t i = 0; i < counts.size(); ++i) {
-          counts[i] += r->histogram.counts()[i];
-          hw2[i] += r->ci_half_width[i] * r->ci_half_width[i];
-        }
-        fraction_sum += r->fraction_rows;
-        ++partials;
-        any_approx = any_approx || r->approximate;
-        out.passes += r->passes;
-        stats.tuples_scanned += r->stats.tuples_scanned;
-        stats.blocks_scanned += r->stats.blocks_scanned;
-        stats.blocks_pruned += r->stats.blocks_pruned;
-      }
-      if (ok && partials > 0) {
-        auto h = FixedHistogram::FromCounts(hq->bin_lo, hq->bin_hi,
-                                            std::move(counts));
-        if (h.ok()) {
-          merged = std::move(*h);
-          info.approximate = any_approx;
-          // Shards are near-equal range partitions, so the unweighted
-          // mean of per-shard fractions tracks the global one.
-          info.fraction_rows = fraction_sum / static_cast<double>(partials);
-          info.confidence = options_.progressive_confidence;
-          info.passes = pass_base;
-          info.ci_half_width.resize(hw2.size());
-          for (size_t i = 0; i < hw2.size(); ++i) {
-            info.ci_half_width[i] = std::sqrt(hw2[i]);
-          }
-        } else {
-          ok = false;
-        }
-      } else {
-        ok = ok && partials > 0;
-      }
-    } else {
-      const SimTime call_start = Now();
-      auto r = engine_->ExecuteHistogramProgressive(*hq, popts);
-      if (r.ok()) {
-        record_passes(*r, call_start, 0);
-        merged = std::move(r->histogram);
-        info.approximate = r->approximate;
-        info.fraction_rows = r->fraction_rows;
-        info.confidence = r->confidence;
-        info.passes = r->passes;
-        info.ci_half_width = std::move(r->ci_half_width);
-        out.passes += r->passes;
-        stats = r->stats;
-      } else {
-        ok = false;
+        ok = shard_hq != nullptr;
+        if (ok) parts.emplace_back(sharded_->shard(sub.shard), shard_hq);
       }
     }
-
-    if (!ok) {
+    std::vector<double> counts;
+    std::vector<double> hw2;
+    double fraction_sum = 0.0;
+    int64_t pass_base = 0;
+    bool any_approx = false;
+    QueryWorkStats stats;
+    for (size_t pi = 0; pi < parts.size() && ok; ++pi) {
+      const SimTime call_start = Now();
+      auto r = parts[pi].first->ExecuteHistogramProgressive(
+          *parts[pi].second, popts);
+      if (!r.ok()) {
+        ok = false;
+        break;
+      }
+      record_passes(*r, call_start, pass_base);
+      pass_base += r->passes;
+      out.passes += r->passes;
+      if (counts.empty()) {
+        counts.assign(r->histogram.num_bins(), 0.0);
+        hw2.assign(r->histogram.num_bins(), 0.0);
+      }
+      for (size_t i = 0; i < counts.size(); ++i) {
+        counts[i] += r->histogram.counts()[i];
+        hw2[i] += r->ci_half_width[i] * r->ci_half_width[i];
+      }
+      fraction_sum += r->fraction_rows;
+      any_approx = any_approx || r->approximate;
+      stats.tuples_scanned += r->stats.tuples_scanned;
+      stats.blocks_scanned += r->stats.blocks_scanned;
+      stats.blocks_pruned += r->stats.blocks_pruned;
+    }
+    if (!ok || parts.empty()) {
+      ++out.failed;
+      continue;
+    }
+    auto merged = FixedHistogram::FromCounts(hq->bin_lo, hq->bin_hi,
+                                             std::move(counts));
+    if (!merged.ok()) {
       ++out.failed;
       continue;
     }
     ++out.executed;
     exec.SetAttrs(stats.tuples_scanned, stats.blocks_scanned,
                   stats.blocks_pruned);
+    ApproxResultInfo info;
+    info.approximate = any_approx;
+    // Shards are near-equal range partitions, so the unweighted mean of
+    // per-shard fractions tracks the global one.
+    info.fraction_rows = fraction_sum / static_cast<double>(parts.size());
+    info.confidence = options_.progressive_confidence;
+    info.passes = pass_base;
+    info.ci_half_width.resize(hw2.size());
+    for (size_t i = 0; i < hw2.size(); ++i) {
+      info.ci_half_width[i] = std::sqrt(hw2[i]);
+    }
     out.fractions.push_back(info.fraction_rows);
     if (info.approximate) {
       ++out.deadline_hits;
       out.refine.push_back(query);
     }
-    if (capture != nullptr) (*capture)[qi] = std::move(merged);
+    if (capture != nullptr) (*capture)[qi] = std::move(*merged);
     if (approx != nullptr) (*approx)[qi] = std::move(info);
   }
   return out;
@@ -1195,8 +1095,7 @@ void QueryServer::WorkerLoop() {
     ++in_flight_;
     lock.unlock();
 
-    // --- Execution, outside the server lock. The busy flag serializes
-    // all access to this session's cache.
+    // --- Execution, outside the server lock.
     const SimTime start = Now();
     // The wait the user felt before any work began: submit -> dispatch.
     RecordSpan(group.trace, SpanKind::kQueueWait,
@@ -1250,30 +1149,15 @@ void QueryServer::WorkerLoop() {
       for (const Query& query : group.queries) {
         Span exec(group.trace, SpanKind::kExecute,
                   group.trace.root_span_id);
-        if (s->cache() != nullptr) {
-          auto r = s->cache()->Execute(query);
-          if (r.ok()) {
-            ++executed;
-            hits += r->cache_hit;
-            exec.SetAttrs(r->response.stats.tuples_scanned,
-                          r->response.stats.blocks_scanned,
-                          r->response.stats.blocks_pruned);
-            if (capture) results.emplace_back(r->response.data);
-          } else {
-            ++failed;
-            if (capture) results.emplace_back(std::nullopt);
-          }
+        auto r = engine_->Execute(query);
+        if (r.ok()) {
+          ++executed;
+          exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
+                        r->stats.blocks_pruned);
+          if (capture) results.emplace_back(std::move(r->data));
         } else {
-          auto r = engine_->Execute(query);
-          if (r.ok()) {
-            ++executed;
-            exec.SetAttrs(r->stats.tuples_scanned, r->stats.blocks_scanned,
-                          r->stats.blocks_pruned);
-            if (capture) results.emplace_back(std::move(r->data));
-          } else {
-            ++failed;
-            if (capture) results.emplace_back(std::nullopt);
-          }
+          ++failed;
+          if (capture) results.emplace_back(std::nullopt);
         }
       }
     }

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,19 +48,11 @@ struct ServerOptions {
   /// loop) and rejects with backpressure past `reject_factor`.
   bool adaptive_admission = false;
   AdmissionOptions admission;
-  /// Per-session exact-match result reuse (§2.4) — the baseline the
-  /// shared cache below supersedes. Incompatible with a sharded backend
-  /// (its miss path owns a single engine) and with `enable_shared_cache`;
-  /// use the shared cache for either.
-  bool enable_session_cache = false;
-  int64_t session_cache_capacity = 256;
   /// Shared cross-session result cache (`serve/result_cache.h`): one
   /// invalidation-aware, sharded LRU above the backend — any session's
   /// execution serves every other session's equivalent query, and
   /// concurrent identical misses coalesce into one backend run. Works
-  /// over both backends (it sits *above* `ShardedEngine`'s scatter/merge,
-  /// lifting the session cache's single-engine restriction). Mutually
-  /// exclusive with `enable_session_cache`.
+  /// over both backends (it sits *above* `ShardedEngine`'s scatter/merge).
   bool enable_shared_cache = false;
   int64_t shared_cache_bytes = 64 << 20;
   int shared_cache_shards = 16;
@@ -69,13 +62,14 @@ struct ServerOptions {
   /// until the user's next interaction). Histogram queries execute as
   /// block-incremental passes and return the current approximate answer
   /// *with per-bin confidence intervals* when the deadline fires; other
-  /// query shapes pass through exactly. Incompatible with
-  /// `enable_session_cache` (the progressive path owns its own cache
-  /// interaction; layer `enable_shared_cache` instead).
+  /// query shapes pass through exactly. Layer `enable_shared_cache` for
+  /// result reuse.
   bool enable_progressive = false;
   /// Fixed per-group deadline budget in milliseconds when > 0; 0 derives
   /// the budget from the session's inter-arrival interval (first group of
-  /// a session: 100 ms). The effective budget is floored at 1 ms.
+  /// a session: 100 ms). No floor applies: a sub-millisecond (or
+  /// negative, clamped to zero) budget is kept, and the executor still
+  /// completes at least one pass.
   double progressive_deadline_ms = 0.0;
   /// Confidence level of the per-bin intervals, in (0, 1).
   double progressive_confidence = 0.95;
@@ -231,9 +225,7 @@ class QueryServer {
 
   /// Sharded variant: groups scatter across `sharded`'s shards and merge
   /// before completing. `sharded` must outlive the server, have all
-  /// tables partitioned/replicated, and is used read-only. Rejects
-  /// `enable_session_cache` (see `ServerOptions`); the shared cache is
-  /// the supported result reuse over a sharded backend.
+  /// tables partitioned/replicated, and is used read-only.
   static Result<std::unique_ptr<QueryServer>> Create(
       const ShardedEngine* sharded, ServerOptions options);
 
@@ -365,10 +357,22 @@ class QueryServer {
   QueryServer(const Engine* engine, const ShardedEngine* sharded,
               ServerOptions options);
 
+  /// The body of both `Create` overloads: validates `options`, builds the
+  /// server over exactly one backend, and starts its threads.
+  static Result<std::unique_ptr<QueryServer>> Start(
+      const Engine* engine, const ShardedEngine* sharded,
+      ServerOptions options);
+
   /// Option checks shared by both `Create` overloads.
   static Status ValidateOptions(const ServerOptions& options);
 
   void WorkerLoop();
+
+  /// One partial's outcome: its result and its wall execution time.
+  struct ShardSlot {
+    std::optional<Result<QueryResponse>> result;
+    Duration wall;
+  };
 
   /// One planned partial waiting for (or being run by) a shard worker.
   /// The pointed-to group state lives on the dispatching group worker's
@@ -380,9 +384,7 @@ class QueryServer {
     /// Executed via `ShardedEngine::ExecuteSubtask`, which runs the
     /// morsel steal loop when the subtask carries a queue.
     const ShardedEngine::Subtask* subtask = nullptr;
-    /// Slot for the partial result and its wall execution time.
-    std::optional<Result<QueryResponse>>* result = nullptr;
-    Duration* wall = nullptr;
+    ShardSlot* slot = nullptr;
     // Group-completion bookkeeping (guarded by *done_mu).
     std::mutex* done_mu = nullptr;
     std::condition_variable* done_cv = nullptr;
@@ -391,11 +393,21 @@ class QueryServer {
     /// emits a kShardExec span under `parent_span` on lane `lane`.
     TraceContext trace;
     uint64_t parent_span = 0;
-    int32_t shard = 0;
     int32_t lane = 0;
   };
 
   void ShardWorkerLoop();
+
+  /// Scatter-and-wait, the fan-out under both sharded paths: queues one
+  /// `ShardTask` per subtask of `plans` (counting morsel-driven plans),
+  /// numbered across the plans in order — slot and trace lane i for the
+  /// i-th, spans parented under `parent_span` — wakes the shard pool,
+  /// runs `on_queued` once everything is queued, and blocks until the
+  /// last partial lands. Returns the filled slots in that order.
+  std::vector<ShardSlot> ScatterAndWait(
+      const std::vector<const ShardedEngine::ShardPlan*>& plans,
+      const TraceContext& trace, uint64_t parent_span,
+      const std::function<void()>& on_queued);
 
   /// Per-group tally of the scatter/execute/merge pipeline.
   struct GroupOutcome {
@@ -581,8 +593,9 @@ class QueryServer {
   std::unique_ptr<FlightRecorder> flight_;
   std::atomic<bool> slo_critical_{false};
   std::atomic<bool> stopping_{false};
-  /// Shared cache above the backend (null unless enabled) and the backend
-  /// callable its misses execute. Both internally synchronized.
+  /// Shared cache above the backend (null unless enabled) and the
+  /// one-query backend call its misses (and progressive pass-through
+  /// queries) execute. Both internally synchronized.
   std::unique_ptr<ResultCache> result_cache_;
   ResultCache::TracedBackend cache_backend_;
   /// Tracing backend (null unless `enable_tracing`) and slow-query log

@@ -14,7 +14,6 @@
 #include "common/sim_time.h"
 #include "engine/query.h"
 #include "obs/trace.h"
-#include "opt/session_cache.h"
 #include "serve/server_stats.h"
 
 namespace ideval {
@@ -102,13 +101,10 @@ struct PendingGroup {
 };
 
 /// One client's server-side state: a bounded request queue, live QIF
-/// window, LCV bookkeeping, counters, and an optional exact-match result
-/// cache (§2.4 session reuse).
+/// window, LCV bookkeeping and counters.
 ///
-/// Thread safety: all fields except `cache` are guarded by the owning
-/// `QueryServer`'s lock. `cache` is touched only by the worker that holds
-/// this session's `busy` flag; the flag itself is flipped under the server
-/// lock, which establishes the necessary happens-before edges.
+/// Thread safety: all fields are guarded by the owning `QueryServer`'s
+/// lock.
 class ServeSession {
  public:
   ServeSession(uint64_t id, Duration qif_window);
@@ -161,11 +157,6 @@ class ServeSession {
   std::optional<SimTime> last_admitted() const { return last_admitted_; }
   void set_last_admitted(SimTime t) { last_admitted_ = t; }
 
-  SessionCache* cache() { return cache_.get(); }
-  void set_cache(std::unique_ptr<SessionCache> cache) {
-    cache_ = std::move(cache);
-  }
-
  private:
   uint64_t id_;
   Duration qif_window_;
@@ -181,7 +172,6 @@ class ServeSession {
   std::deque<std::pair<uint64_t, SimTime>> recent_submits_;
   int64_t queue_hwm_ = 0;
   SessionCounters counters_;
-  std::unique_ptr<SessionCache> cache_;
 };
 
 /// Hands out sessions with isolated queues and stable ids. Externally

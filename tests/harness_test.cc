@@ -68,7 +68,6 @@ serve_clients = 5
 serve_queue_cap = 16
 admission = debounce
 adaptive_admission = true
-serve_cache = true
 time_compression = 80
 )";
   auto spec = ParseWorkloadSpec(text);
@@ -78,7 +77,6 @@ time_compression = 80
   EXPECT_EQ(spec->serve_queue_cap, 16);
   EXPECT_EQ(spec->admission, AdmissionPolicy::kDebounce);
   EXPECT_TRUE(spec->adaptive_admission);
-  EXPECT_TRUE(spec->serve_cache);
   EXPECT_DOUBLE_EQ(spec->time_compression, 80.0);
 
   EXPECT_FALSE(ParseWorkloadSpec("admission = yolo").ok());
@@ -163,7 +161,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   spec.serve_queue_cap = 12;
   spec.admission = AdmissionPolicy::kSkipStale;
   spec.adaptive_admission = true;
-  spec.serve_cache = true;
   spec.time_compression = 25.0;
   spec.serve_trace = true;
   spec.serve_trace_buffer_spans = 2048;
@@ -189,7 +186,6 @@ TEST(WorkloadSpecTest, RoundTripsThroughText) {
   EXPECT_EQ(parsed->serve_queue_cap, spec.serve_queue_cap);
   EXPECT_EQ(parsed->admission, spec.admission);
   EXPECT_EQ(parsed->adaptive_admission, spec.adaptive_admission);
-  EXPECT_EQ(parsed->serve_cache, spec.serve_cache);
   EXPECT_DOUBLE_EQ(parsed->time_compression, spec.time_compression);
   EXPECT_EQ(parsed->serve_trace, spec.serve_trace);
   EXPECT_EQ(parsed->serve_trace_buffer_spans, spec.serve_trace_buffer_spans);

@@ -84,6 +84,10 @@ TEST(ProgressiveDeadline, UnboundedRunIsBitwiseExact) {
     for (double hw : r->ci_half_width) EXPECT_EQ(hw, 0.0);
     EXPECT_GE(r->passes, 1);
     EXPECT_EQ(r->blocks_visited, r->blocks_total);
+    // The same scan primitive does the same work as the full scan.
+    EXPECT_EQ(r->stats.tuples_scanned, exact->stats.tuples_scanned);
+    EXPECT_EQ(r->stats.tuples_matched, exact->stats.tuples_matched);
+    EXPECT_EQ(r->stats.blocks_pruned, exact->stats.blocks_pruned);
   }
 }
 
@@ -103,6 +107,9 @@ TEST(ProgressiveDeadline, UnboundedMatchesExactUnderZoneMapPruning) {
   EXPECT_EQ(r->histogram, std::get<FixedHistogram>(exact->data));
   // The sorted filter column guarantees pruning actually fired here.
   EXPECT_GT(r->stats.blocks_pruned, 0);
+  EXPECT_EQ(r->stats.blocks_pruned, exact->stats.blocks_pruned);
+  EXPECT_EQ(r->stats.tuples_scanned, exact->stats.tuples_scanned);
+  EXPECT_EQ(r->stats.tuples_matched, exact->stats.tuples_matched);
   EXPECT_LT(r->blocks_total,
             static_cast<int64_t>((50000 + 4095) / 4096));
   // Pruned blocks count toward the resolved fraction: nothing in them

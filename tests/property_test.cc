@@ -12,6 +12,7 @@
 #include "engine/engine.h"
 #include "engine/progressive.h"
 #include "engine/sharded_engine.h"
+#include "opt/session_cache.h"
 #include "opt/throttle.h"
 #include "serve/result_cache.h"
 #include "sim/query_scheduler.h"
@@ -400,30 +401,17 @@ TEST_P(ShardedOracleTest, HistogramMergesBitwiseEqual) {
 }
 
 TEST_P(ShardedOracleTest, MorselExecutionMatchesRangePartition) {
-  // Morsel-driven execution (docs/kernels.md) claims ~64K-row morsels
-  // from a shared atomic queue instead of giving each worker one fixed
-  // range. Claim order is nondeterministic, so this is the merge-
-  // commutativity property: the merged histogram must be bitwise equal
-  // to both the range-partitioned sharded run and the unsharded run,
-  // with identical summed work counters, for any seed.
+  // Morsel-driven execution (docs/kernels.md) claims morsels from a
+  // shared atomic queue instead of giving each worker one fixed range.
+  // Claim order is nondeterministic, so this is the merge-commutativity
+  // property: the merged histogram must be bitwise equal to both the
+  // range-partitioned sharded run and the unsharded run, with identical
+  // summed work counters, for any seed. With zone maps on, the summed
+  // block counters must equal one `Execute`'s too: every block is
+  // scanned or pruned by exactly one participant.
   Rng rng(static_cast<uint64_t>(GetParam()) * 6553 + 7);
   TablePtr table = RandomTable(&rng, rng.UniformInt(40, 2000));
-  Engine engine(EngineOptions{});
-  ASSERT_TRUE(engine.RegisterTable(table).ok());
-
-  ShardedEngineOptions range_opts;
-  range_opts.num_shards = static_cast<int>(rng.UniformInt(2, 6));
-  auto by_range = ShardedEngine::Create(range_opts).ValueOrDie();
-  ASSERT_TRUE(by_range->PartitionTable(table).ok());
-
-  ShardedEngineOptions morsel_opts = range_opts;
-  morsel_opts.morsel_execution = true;
-  // Tiny morsels (rounded up to one zone-map block) so even small random
-  // tables produce several morsels per worker and real interleaving.
-  morsel_opts.morsel_rows = 1;
-  auto by_morsel = ShardedEngine::Create(morsel_opts).ValueOrDie();
-  ASSERT_TRUE(by_morsel->PartitionTable(table).ok());
-
+  const int num_shards = static_cast<int>(rng.UniformInt(2, 6));
   HistogramQuery q;
   q.table = "rand";
   q.bin_column = "a";
@@ -432,31 +420,68 @@ TEST_P(ShardedOracleTest, MorselExecutionMatchesRangePartition) {
   q.bins = rng.UniformInt(1, 30);
   const double lo_a = rng.Uniform(-120.0, 80.0);
   q.predicates = {RangePredicate{"a", lo_a, lo_a + rng.Uniform(0.0, 180.0)}};
+  // A window at the top edge of the value range, which zone maps over
+  // small blocks of uniform values can prune.
+  HistogramQuery edge = q;
+  edge.predicates = {RangePredicate{"a", rng.Uniform(90.0, 99.0), 100.0}};
 
-  auto one = engine.Execute(Query(q));
-  auto ranged = by_range->Execute(Query(q));
-  auto morseled = by_morsel->Execute(Query(q));
-  ASSERT_TRUE(one.ok());
-  ASSERT_TRUE(ranged.ok());
-  ASSERT_TRUE(morseled.ok());
-  const auto& h1 = std::get<FixedHistogram>(one->data);
-  const auto& hr = std::get<FixedHistogram>(ranged->data);
-  const auto& hm = std::get<FixedHistogram>(morseled->data);
-  EXPECT_EQ(hm, h1);  // Bitwise: int64 bin counts merge exactly.
-  EXPECT_EQ(hm, hr);
-  EXPECT_EQ(morseled->stats.tuples_scanned, one->stats.tuples_scanned);
-  EXPECT_EQ(morseled->stats.tuples_matched, one->stats.tuples_matched);
-  // The steal loop claimed every morsel exactly once.
-  EXPECT_GT(morseled->stats.morsels_executed, 0);
-  EXPECT_EQ(ranged->stats.morsels_executed, 0);
+  for (bool zone_maps : {false, true}) {
+    SCOPED_TRACE(zone_maps ? "zone maps on" : "zone maps off");
+    EngineOptions eopts;
+    eopts.enable_zone_maps = zone_maps;
+    // Small blocks, so zone maps summarize even small random tables in
+    // several blocks.
+    eopts.zone_map_block_rows = 8;
+    Engine engine(eopts);
+    ASSERT_TRUE(engine.RegisterTable(table).ok());
 
-  // A morsel plan is single-use (its queue drains), but the engine must
-  // rebuild a fresh queue per Execute: a second run is identical.
-  auto again = by_morsel->Execute(Query(q));
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(std::get<FixedHistogram>(again->data), hm);
-  EXPECT_EQ(again->stats.morsels_executed,
-            morseled->stats.morsels_executed);
+    ShardedEngineOptions range_opts;
+    range_opts.num_shards = num_shards;
+    range_opts.engine_options = eopts;
+    auto by_range = ShardedEngine::Create(range_opts).ValueOrDie();
+    ASSERT_TRUE(by_range->PartitionTable(table).ok());
+
+    ShardedEngineOptions morsel_opts = range_opts;
+    morsel_opts.morsel_execution = true;
+    // Tiny morsels (one row, or one block with zone maps on) so every
+    // worker claims several and the claims really interleave.
+    morsel_opts.morsel_rows = 1;
+    auto by_morsel = ShardedEngine::Create(morsel_opts).ValueOrDie();
+    ASSERT_TRUE(by_morsel->PartitionTable(table).ok());
+
+    for (const HistogramQuery* query : {&q, &edge}) {
+      auto one = engine.Execute(Query(*query));
+      auto ranged = by_range->Execute(Query(*query));
+      auto morseled = by_morsel->Execute(Query(*query));
+      ASSERT_TRUE(one.ok());
+      ASSERT_TRUE(ranged.ok());
+      ASSERT_TRUE(morseled.ok());
+      const auto& h1 = std::get<FixedHistogram>(one->data);
+      const auto& hr = std::get<FixedHistogram>(ranged->data);
+      const auto& hm = std::get<FixedHistogram>(morseled->data);
+      EXPECT_EQ(hm, h1);  // Bitwise: int64 bin counts merge exactly.
+      EXPECT_EQ(hm, hr);
+      EXPECT_EQ(morseled->stats.tuples_scanned, one->stats.tuples_scanned);
+      EXPECT_EQ(morseled->stats.tuples_matched, one->stats.tuples_matched);
+      EXPECT_EQ(morseled->stats.blocks_scanned, one->stats.blocks_scanned);
+      EXPECT_EQ(morseled->stats.blocks_pruned, one->stats.blocks_pruned);
+      // The steal loop claimed every morsel exactly once.
+      EXPECT_GT(morseled->stats.morsels_executed, 0);
+      EXPECT_EQ(ranged->stats.morsels_executed, 0);
+
+      // A morsel plan is single-use (its queue drains), but the engine
+      // must rebuild a fresh queue per Execute: a second run is identical.
+      auto again = by_morsel->Execute(Query(*query));
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(std::get<FixedHistogram>(again->data), hm);
+      EXPECT_EQ(again->stats.morsels_executed,
+                morseled->stats.morsels_executed);
+      EXPECT_EQ(again->stats.blocks_pruned, morseled->stats.blocks_pruned);
+      if (zone_maps && query == &edge) {
+        EXPECT_GT(one->stats.blocks_pruned, 0);  // Pruning really fired.
+      }
+    }
+  }
 }
 
 TEST_P(ShardedOracleTest, SelectPageMatchesUnsharded) {
@@ -706,6 +731,61 @@ TEST_P(ResultCachePropertyTest, CachedResultsMatchUncached) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, ResultCachePropertyTest,
                          ::testing::Range(0, 15));
+
+TEST(QueryKeyTest, BoundsPastTheSixthDigitKeyApart) {
+  // Two histograms whose filter bounds differ only past the sixth
+  // significant digit print alike, but must key apart: one matches no
+  // row, the other two.
+  Schema schema({{"v", DataType::kDouble}});
+  TableBuilder builder("near", schema);
+  for (double v : {0.1234562, 0.1234563, 0.5}) {
+    builder.MustAppendRow({Value(v)});
+  }
+  Engine engine(EngineOptions{});
+  ASSERT_TRUE(
+      engine.RegisterTable(std::move(builder).Finish().ValueOrDie()).ok());
+  HistogramQuery lo;
+  lo.table = "near";
+  lo.bin_column = "v";
+  lo.bin_lo = 0.0;
+  lo.bin_hi = 1.0;
+  lo.bins = 4;
+  lo.predicates = {RangePredicate{"v", 0.0, 0.1234561}};
+  HistogramQuery hi = lo;
+  hi.predicates = {RangePredicate{"v", 0.0, 0.1234564}};
+  ASSERT_EQ(QueryToString(lo), QueryToString(hi));  // The old key's view.
+  EXPECT_NE(QueryKey(lo), QueryKey(hi));
+  EXPECT_NE(CanonicalQueryKey(lo), CanonicalQueryKey(hi));
+  HistogramQuery edge = lo;
+  edge.bin_hi = 1.0000001;
+  EXPECT_NE(CanonicalQueryKey(lo), CanonicalQueryKey(edge));
+
+  ResultCache cache(ResultCacheOptions{});
+  const ResultCache::Backend backend = [&engine](const Query& q) {
+    return engine.Execute(q);
+  };
+  SessionCache session(&engine);
+  for (const HistogramQuery* q : {&lo, &hi, &lo, &hi}) {
+    auto direct = engine.Execute(*q);
+    auto cached = cache.Execute(*q, backend);
+    auto reused = session.Execute(*q);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(cached.ok());
+    ASSERT_TRUE(reused.ok());
+    EXPECT_EQ(cached->response.data, direct->data);
+    EXPECT_EQ(reused->response.data, direct->data);
+    EXPECT_EQ(direct->stats.tuples_matched, q == &lo ? 0 : 2);
+  }
+  EXPECT_EQ(cache.Stats().misses, 2);
+  EXPECT_EQ(cache.Stats().hits, 2);
+
+  // Strings carry their length, so a value holding the separator text
+  // cannot pass for two values.
+  SelectQuery one_value{"near", {}, {StringInPredicate{"s", {"x', 'y"}}}};
+  SelectQuery two_values{"near", {}, {StringInPredicate{"s", {"x", "y"}}}};
+  ASSERT_EQ(QueryToString(one_value), QueryToString(two_values));
+  EXPECT_NE(CanonicalQueryKey(one_value), CanonicalQueryKey(two_values));
+}
 
 // ----------------------- Progressive sampling property -----------------------
 

@@ -105,21 +105,10 @@ TEST_F(ServeTest, CreateValidatesOptions) {
   opts.max_queue_per_session = 0;
   EXPECT_EQ(QueryServer::Create(engine_.get(), opts).status().code(),
             StatusCode::kInvalidArgument);
-  opts = ServerOptions{};
-  opts.enable_session_cache = true;
-  opts.session_cache_capacity = 0;
-  EXPECT_EQ(QueryServer::Create(engine_.get(), opts).status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(QueryServer::Create(static_cast<const Engine*>(nullptr),
                                 ServerOptions{}).status().code(),
             StatusCode::kInvalidArgument);
-  // The per-session and shared caches are mutually exclusive, and the
-  // shared cache's knobs must be positive.
-  opts = ServerOptions{};
-  opts.enable_session_cache = true;
-  opts.enable_shared_cache = true;
-  EXPECT_EQ(QueryServer::Create(engine_.get(), opts).status().code(),
-            StatusCode::kInvalidArgument);
+  // The shared cache's knobs must be positive.
   opts = ServerOptions{};
   opts.enable_shared_cache = true;
   opts.shared_cache_bytes = 0;
@@ -273,38 +262,13 @@ TEST_F(ServeTest, DebounceCoalescesToTheNewest) {
   ExpectReconciles(snap);
 }
 
-TEST_F(ServeTest, SessionCacheServesRepeats) {
-  MakeEngine(1000);
-  ServerOptions opts;
-  opts.enable_session_cache = true;
-  auto server = MakeServer(opts);
-  const uint64_t sid = server->OpenSession();
-  ASSERT_TRUE(server->Submit(sid, Group()).ok());
-  server->Drain();
-  ASSERT_TRUE(server->Submit(sid, Group()).ok());  // Identical query.
-  server->Drain();
-  ASSERT_TRUE(server->Submit(sid, Group(10)).ok());  // Different bins.
-  server->Drain();
-  auto snap = server->Snapshot();
-  EXPECT_EQ(snap.totals.queries_executed, 3);
-  EXPECT_EQ(snap.totals.cache_hits, 1);
-
-  // A second session has an isolated cache: the same query misses.
-  const uint64_t other = server->OpenSession();
-  ASSERT_TRUE(server->Submit(other, Group()).ok());
-  server->Drain();
-  snap = server->Snapshot();
-  EXPECT_EQ(snap.totals.cache_hits, 1);
-}
-
 TEST_F(ServeTest, SharedCacheServesAcrossSessions) {
   MakeEngine(1000);
   ServerOptions opts;
   opts.enable_shared_cache = true;
   auto server = MakeServer(opts);
 
-  // Session A warms the cache; session B's identical query hits — the
-  // cross-session sharing the per-session cache cannot provide.
+  // Session A warms the cache; session B's identical query hits.
   const uint64_t a = server->OpenSession();
   const uint64_t b = server->OpenSession();
   ASSERT_TRUE(server->Submit(a, Group()).ok());
@@ -331,8 +295,8 @@ TEST_F(ServeTest, SharedCacheServesAcrossSessions) {
 }
 
 TEST_F(ServeTest, SharedCacheWorksOverShardedBackend) {
-  // PR 2 restricted the session cache to single-engine servers; the
-  // shared cache layers above scatter/merge, lifting that restriction.
+  // The shared cache layers above scatter/merge, so it serves a sharded
+  // backend too.
   const int64_t rows = 5000;
   ShardedEngineOptions shopts;
   shopts.num_shards = 3;
@@ -806,10 +770,6 @@ TEST(ShardedServeTest, CreateValidatesShardedOptions) {
                 .code(),
             StatusCode::kInvalidArgument);
   ServerOptions opts;
-  opts.enable_session_cache = true;  // Cache owns a single engine.
-  EXPECT_EQ(QueryServer::Create(sharded.get(), opts).status().code(),
-            StatusCode::kInvalidArgument);
-  opts = ServerOptions{};
   opts.shard_workers = -1;
   EXPECT_EQ(QueryServer::Create(sharded.get(), opts).status().code(),
             StatusCode::kInvalidArgument);
@@ -1357,14 +1317,7 @@ TEST_F(ServeTest, StatsPollerFillsTimeseries) {
 
 TEST_F(ServeTest, ProgressiveValidatesOptions) {
   MakeEngine(100);
-  // Progressive serving and the per-session cache are mutually exclusive:
-  // the session cache would pin first-draft approximations.
   ServerOptions opts;
-  opts.enable_progressive = true;
-  opts.enable_session_cache = true;
-  EXPECT_EQ(QueryServer::Create(engine_.get(), opts).status().code(),
-            StatusCode::kInvalidArgument);
-  opts = ServerOptions{};
   opts.enable_progressive = true;
   opts.progressive_deadline_ms = -1.0;
   EXPECT_EQ(QueryServer::Create(engine_.get(), opts).status().code(),
